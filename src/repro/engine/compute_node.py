@@ -1267,6 +1267,12 @@ class ComputeNodeRuntime:
         )
         queued_data = sum(len(buf) for buf in self._data_buffers.values())
         queued_compute = sum(len(buf) for buf in self._compute_buffers.values())
+        # The hint averages every known row's cost: only build it while
+        # no local execution has been measured yet.
+        tcc = self._tcc
+        compute_time = (
+            tcc.value if tcc.initialized else self.sizes_compute_hint()
+        )
         return ComputeNodeStats(
             pending_local_computations=self._pending_local,
             pending_data_requests=queued_data,
@@ -1274,7 +1280,7 @@ class ComputeNodeRuntime:
             pending_data_responses=self._inflight_data,
             pending_at_other_data_nodes=pending_compute_elsewhere,
             expected_computed_elsewhere=expected_computed,
-            compute_time=self._tcc.value_or(self.sizes_compute_hint()),
+            compute_time=compute_time,
             net_bandwidth=self.cluster.network.node_bandwidth(self.node_id),
         )
 

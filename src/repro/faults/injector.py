@@ -115,7 +115,12 @@ class FaultInjector:
                 )
 
             cluster.sim.schedule_at(pressure.at, squeeze)
-        cluster.network.fault_policy = self
+        # Only crash windows and chaos can change a message's fate, and
+        # this injector registers every crash window; a schedule with
+        # neither would make ``plan`` return ``[0.0]`` for every message,
+        # so it leaves the network's hook unarmed.
+        if self.schedule.crashes or self.schedule.chaos:
+            cluster.network.fault_policy = self
 
     # ------------------------------------------------------------------
     # DeliveryPolicy

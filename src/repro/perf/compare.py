@@ -9,7 +9,10 @@ the combined noise bars: the tolerated ceiling is
 so a noisy-but-unchanged scenario cannot trip the gate while a real
 10% slowdown on a quiet scenario always does.  Scenarios that failed
 differential verification in either file are reported as failures
-regardless of timing — a fast wrong answer is still wrong.
+regardless of timing — a fast wrong answer is still wrong.  So are
+scenarios whose digest (join outputs, and for most scenarios makespan
+and counters) differs from the baseline's: the gate pins behaviour as
+well as speed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class Regression:
     """One gate violation."""
 
     scenario: str
-    kind: str  # "slower" | "unverified"
+    kind: str  # "slower" | "unverified" | "digest"
     baseline_s: float | None
     current_s: float | None
     ratio: float | None
@@ -84,6 +87,20 @@ def compare_benchmarks(
                 )
             )
             continue
+        if c.get("digest") != b.get("digest"):
+            regressions.append(
+                Regression(
+                    scenario=name,
+                    kind="digest",
+                    baseline_s=b.get("wall_median_s"),
+                    current_s=c.get("wall_median_s"),
+                    ratio=None,
+                    detail=(
+                        f"behaviour changed: digest {b.get('digest')} "
+                        f"-> {c.get('digest')}"
+                    ),
+                )
+            )
         b_median = b.get("wall_median_s")
         c_median = c.get("wall_median_s")
         if b_median is None or c_median is None:

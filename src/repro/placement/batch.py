@@ -112,7 +112,15 @@ class SizeProfile:
 
 
 class LoadProfile:
-    """The four Appendix C load curves for one batch decision."""
+    """The four Appendix C load curves for one batch decision.
+
+    :meth:`comp_cpu`, :meth:`comp_net`, :meth:`data_cpu` and
+    :meth:`data_net` spell the curves out term by term.  The search
+    evaluates :meth:`completion_time` several times per batch, so the
+    constructor sums each curve's ``d``-independent terms once, in the
+    same left-to-right order as the spelled-out curve; adding the
+    ``d`` terms to that prefix then gives the same float, bit for bit.
+    """
 
     def __init__(
         self,
@@ -127,6 +135,39 @@ class LoadProfile:
         self.comp = comp
         self.data = data
         self.sizes = sizes
+        c, dn, s = comp, data, sizes
+        uncomputed_elsewhere = max(
+            c.pending_at_other_data_nodes - c.expected_computed_elsewhere, 0
+        )
+        uncomputed_from_j = max(
+            dn.pending_from_this_compute_node
+            - dn.to_compute_from_this_compute_node,
+            0,
+        )
+        uncomputed_here = max(
+            dn.pending_compute_requests - dn.to_compute_locally, 0
+        )
+        self._comp_cpu_items = (
+            c.pending_local_computations
+            + uncomputed_elsewhere
+            + uncomputed_from_j
+        )
+        self._comp_net_load = (
+            c.pending_data_requests * (s.key_size + s.value_size)
+            + c.pending_compute_requests * (s.key_size + s.param_size)
+            + c.pending_data_responses * s.value_size
+            + uncomputed_elsewhere * s.value_size
+            + c.expected_computed_elsewhere * s.computed_size
+            + uncomputed_from_j * s.value_size
+            + dn.to_compute_from_this_compute_node * s.computed_size
+        )
+        self._data_net_load = (
+            dn.pending_data_requests * (s.key_size + s.value_size)
+            + dn.pending_data_responses * s.value_size
+            + dn.pending_compute_requests * (s.key_size + s.param_size)
+            + uncomputed_here * s.value_size
+            + dn.to_compute_locally * s.computed_size
+        )
 
     # -- CPU ------------------------------------------------------------
     def comp_cpu(self, d: float) -> float:
@@ -196,10 +237,17 @@ class LoadProfile:
         """Estimated batch completion: the max of the four loads.
 
         CPU, disk and network proceed concurrently, so the bottleneck
-        resource determines when the batch drains (Section 5).
+        resource determines when the batch drains (Section 5).  Equal
+        to ``max(comp_cpu(d), comp_net(d), data_cpu(d), data_net(d))``.
         """
+        s = self.sizes
+        kept = d * s.computed_size
+        returned = (self.batch_size - d) * s.value_size
         return max(
-            self.comp_cpu(d), self.comp_net(d), self.data_cpu(d), self.data_net(d)
+            self.comp.compute_time * (self._comp_cpu_items + (self.batch_size - d)),
+            (self._comp_net_load + kept + returned) / self.comp.net_bandwidth,
+            self.data.compute_time * (self.data.to_compute_locally + d),
+            (self._data_net_load + kept + returned) / self.data.net_bandwidth,
         )
 
 

@@ -166,6 +166,12 @@ class DataNodeServer:
         self._hybrid_keys: set = set()
         self._hybrid_hits = 0
         self._hybrid_unspills = 0
+        # ``tcd`` estimate (see :meth:`_udf_time_estimate`): the mean
+        # row cost here, computed once, and whether this node hosts any
+        # region under the map generation it was last checked at.
+        self._tcd_cache: float | None = None
+        self._hosts_regions = False
+        self._hosts_regions_at: tuple[object, int] | None = None
 
     # ------------------------------------------------------------------
     # Memory-adaptive execution
@@ -991,14 +997,19 @@ class DataNodeServer:
         Uses the mean compute cost over this node's rows; cheap and
         stable, standing in for the runtime-measured smoothed value.
         """
-        regions = self.kvstore.region_map.regions_on_node(self.node_id)
-        if not regions:
+        region_map = self.kvstore.region_map
+        # Whether this node hosts a region changes only when the map
+        # does, and every map change bumps its generation.
+        if self._hosts_regions_at != (region_map, region_map.generation):
+            self._hosts_regions = bool(region_map.regions_on_node(self.node_id))
+            self._hosts_regions_at = (region_map, region_map.generation)
+        if not self._hosts_regions:
             return 0.0
         # Sampling every row each time would be quadratic; cache it.
-        if not hasattr(self, "_tcd_cache"):
+        if self._tcd_cache is None:
             total, count = 0.0, 0
             for row in self.kvstore.table.rows():
-                if self.kvstore.region_map.node_for_key(row.key) == self.node_id:
+                if region_map.node_for_key(row.key) == self.node_id:
                     total += self.udf.cost(row) + row.hydration_cost
                     count += 1
             self._tcd_cache = total / count if count else 0.0

@@ -148,3 +148,30 @@ class TestStatsSnapshot:
         end = runtime._snapshot_stats(dst=1)
         assert end.pending_data_responses == 0
         assert end.pending_at_other_data_nodes == 0
+
+    def test_snapshot_carries_the_hint_before_any_local_execution(self):
+        # FD never executes at the compute node, yet its responses fill
+        # the row table the hint averages over.
+        cluster, runtime, server, completions = build_runtime(Strategy.fd())
+        for i in range(12):
+            runtime.submit(i, i % 40)
+        drain(cluster, runtime, 12)
+        assert not runtime._tcc.initialized
+        assert runtime._row_info
+        hint = runtime.sizes_compute_hint()
+        assert hint > 0.0
+        assert runtime._snapshot_stats(dst=1).compute_time == hint
+
+    def test_snapshot_skips_the_hint_after_a_local_execution(self, monkeypatch):
+        cluster, runtime, server, completions = build_runtime(Strategy.fo())
+        for i in range(12):
+            runtime.submit(i, i % 40)
+        drain(cluster, runtime, 12)
+        assert runtime._tcc.initialized
+
+        def no_hint():
+            raise AssertionError("hint built after a local execution")
+
+        monkeypatch.setattr(runtime, "sizes_compute_hint", no_hint)
+        snapshot = runtime._snapshot_stats(dst=1)
+        assert snapshot.compute_time == runtime._tcc.value

@@ -141,6 +141,20 @@ class TestLoadBalancing:
         assert served.kept_at_data_node < 10
         assert len(bounced) == 10 - served.kept_at_data_node
 
+    def test_tcd_follows_region_ownership(self):
+        cluster, server = setup_server(compute_cost=0.02)
+        region_map = server.kvstore.region_map
+        tcd = server.local_stats(0, SIZES).compute_time
+        assert tcd == pytest.approx(0.02)
+        # Moving every region away bumps the map generation: the node
+        # hosts nothing, so its estimate drops to zero ...
+        for region in range(region_map.n_regions):
+            region_map.move_region(region, 0)
+        assert server.local_stats(0, SIZES).compute_time == 0.0
+        # ... and moving one back restores the once-computed mean.
+        region_map.move_region(0, 1)
+        assert server.local_stats(0, SIZES).compute_time == tcd
+
 
 class TestMeasuredCosts:
     def test_sojourn_inflates_reported_compute_time(self):

@@ -278,6 +278,54 @@ class TestFaultInjector:
         assert injector.plan(0, 2, 2.5, 3.0) == [0.0]
         assert injector.crash_drops == 2
 
+    def test_update_only_schedule_leaves_network_hook_unarmed(self):
+        cluster = Cluster.homogeneous(2)
+        table = Table("t")
+        for i in range(4):
+            table.put(Row(key=i, value=f"v{i}", size=100.0, compute_cost=0.001))
+        kvstore = KVStore(table, RegionMap.round_robin(HashPartitioner(2), [1]))
+        invalidated = []
+        kvstore.subscribe(3, 0, lambda key, at: invalidated.append((key, at)))
+        schedule = FaultSchedule(
+            seed=0, updates=(UpdateFault(at=0.5, key=3, value="x"),)
+        )
+        FaultInjector(schedule).install(cluster, kvstore=kvstore)
+        assert cluster.network.fault_policy is None
+        assert cluster.network.delivery_plan(0, 1, 0.0, 1.0) == [0.0]
+
+        cluster.sim.run(until=0.4)
+        assert kvstore.get(3).value == "v3"
+        assert kvstore.get(3).updated_at == 0.0
+        assert invalidated == []
+        cluster.sim.run()
+        assert kvstore.get(3).value == "x"
+        assert kvstore.get(3).updated_at == 0.5
+        assert invalidated == [(3, 0.5)]
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            FaultSchedule(
+                seed=0,
+                crashes=(CrashFault(node_id=2, at=1.0, duration=1.0),),
+                updates=(UpdateFault(at=0.5, key=3, value="x"),),
+            ),
+            FaultSchedule(
+                seed=0,
+                chaos=(MessageChaos(at=0.0, duration=1.0, drop=0.5),),
+            ),
+        ],
+        ids=["crash", "chaos"],
+    )
+    def test_crash_or_chaos_arms_network_hook(self, schedule):
+        cluster = Cluster.homogeneous(3)
+        table = Table("t")
+        table.put(Row(key=3, value="v3", size=100.0, compute_cost=0.001))
+        kvstore = KVStore(table, RegionMap.round_robin(HashPartitioner(2), [1]))
+        injector = FaultInjector(schedule)
+        injector.install(cluster, kvstore=kvstore)
+        assert cluster.network.fault_policy is injector
+
     def test_double_install_raises(self):
         cluster = Cluster.homogeneous(3)
         injector = FaultInjector(FaultSchedule(seed=0))

@@ -199,3 +199,69 @@ def test_property_gradient_descent_is_globally_optimal(
     assert p.completion_time(gd) == pytest.approx(
         p.completion_time(brute), rel=1e-9, abs=1e-12
     )
+
+
+class _SpecProfile(LoadProfile):
+    """A profile whose objective is the spelled-out max of the four curves."""
+
+    def completion_time(self, d):
+        return max(self.comp_cpu(d), self.comp_net(d), self.data_cpu(d),
+                   self.data_net(d))
+
+
+_counts = st.integers(min_value=0, max_value=10_000)
+_times = st.floats(min_value=0.0, max_value=10.0)
+_bandwidths = st.floats(min_value=1.0, max_value=1e10)
+_sizes = st.floats(min_value=0.0, max_value=1e7)
+
+
+@given(
+    b=st.integers(min_value=0, max_value=128),
+    comp=st.builds(
+        ComputeNodeStats,
+        pending_local_computations=_counts,
+        pending_data_requests=_counts,
+        pending_compute_requests=_counts,
+        pending_data_responses=_counts,
+        pending_at_other_data_nodes=_counts,
+        expected_computed_elsewhere=_counts,
+        compute_time=_times,
+        net_bandwidth=_bandwidths,
+    ),
+    data=st.builds(
+        DataNodeStats,
+        pending_data_requests=_counts,
+        pending_data_responses=_counts,
+        pending_compute_requests=_counts,
+        to_compute_locally=_counts,
+        pending_from_this_compute_node=_counts,
+        to_compute_from_this_compute_node=_counts,
+        compute_time=_times,
+        net_bandwidth=_bandwidths,
+    ),
+    sizes=st.builds(
+        SizeProfile,
+        key_size=_sizes,
+        param_size=_sizes,
+        value_size=_sizes,
+        computed_size=_sizes,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_completion_time_is_exactly_the_max_of_four(
+    b, comp, data, sizes, seed
+):
+    """The precomputed objective is the four curves' max, bit for bit,
+    so the search takes the same steps and returns the same ``d``."""
+    p = LoadProfile(b, comp, data, sizes)
+    for d in range(b + 1):
+        assert p.completion_time(d) == max(
+            p.comp_cpu(d), p.comp_net(d), p.data_cpu(d), p.data_net(d)
+        )
+    spec = _SpecProfile(b, comp, data, sizes)
+    assert gradient_descent_min_d(p) == gradient_descent_min_d(spec)
+    assert gradient_descent_min_d(
+        p, rng=np.random.default_rng(seed)
+    ) == gradient_descent_min_d(spec, rng=np.random.default_rng(seed))
+    assert exact_min_d(p) == exact_min_d(spec)
