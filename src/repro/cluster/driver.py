@@ -657,12 +657,14 @@ class ClusterDriver:
         batches = self._batches()
         self.info.n_batches = len(batches)
         outputs: dict[int, Any] = {}
+        if self.kill_plan is not None:
+            self._run_sequential_with_kill(op, batches, outputs)
+            return outputs
         runner = (
             self._run_waves if self.engine == "streaming" else self._run_pooled
         )
-        if self.kill_plan is not None:
-            self._run_sequential_with_kill(op, batches, outputs)
-        elif self.elastic is not None and len(batches) > 1:
+        cut = len(batches)
+        if self.elastic is not None and len(batches) > 1:
             # Elastic: dispatch a leading fraction to gather real load
             # observations, run one rebalance round (replication +
             # bucket migration + epoch broadcast), then finish.
@@ -670,11 +672,14 @@ class ClusterDriver:
                 len(batches) - 1,
                 max(1, int(len(batches) * self.elastic.migrate_after_fraction)),
             )
-            runner(op, batches[:cut], outputs)
-            self._rebalance()
-            runner(op, batches[cut:], outputs)
-        else:
-            runner(op, batches, outputs)
+        with ThreadPoolExecutor(
+            max_workers=max(len(self.compute_ids), 1),
+            thread_name_prefix="repro-cluster-dispatch",
+        ) as pool:
+            runner(pool, op, batches[:cut], outputs)
+            if cut < len(batches):
+                self._rebalance()
+                runner(pool, op, batches[cut:], outputs)
         return outputs
 
     def _batches(self) -> list[dict[str, Any]]:
@@ -693,28 +698,38 @@ class ClusterDriver:
         return out
 
     def _run_pooled(
-        self, op: str, batches: list[dict[str, Any]], outputs: dict[int, Any]
+        self, pool: ThreadPoolExecutor, op: str,
+        batches: list[dict[str, Any]], outputs: dict[int, Any],
     ) -> None:
-        if not batches:
-            return
-        with ThreadPoolExecutor(
-            max_workers=max(len(self.compute_ids), 1),
-            thread_name_prefix="repro-cluster-dispatch",
-        ) as pool:
-            futures = [
-                pool.submit(self._dispatch, op, batch, index)
-                for index, batch in enumerate(batches)
+        """One lane per compute worker, each on its own pool thread.
+
+        Lane ``t`` dispatches batches ``t, t+n, t+2n, ...`` in order, so
+        each worker has at most one batch in flight and no two threads
+        queue on one :class:`RpcClient` lock.
+        """
+        stride = max(len(self.compute_ids), 1)
+
+        def lane(first: int) -> list[dict[int, Any]]:
+            return [
+                self._dispatch(op, batches[index], index)
+                for index in range(first, len(batches), stride)
             ]
-            for future in futures:
-                outputs.update(future.result())
+
+        for results in pool.map(lane, range(min(stride, len(batches)))):
+            for result in results:
+                outputs.update(result)
 
     def _run_waves(
-        self, op: str, batches: list[dict[str, Any]], outputs: dict[int, Any]
+        self, pool: ThreadPoolExecutor, op: str,
+        batches: list[dict[str, Any]], outputs: dict[int, Any],
     ) -> None:
-        """Streaming: synchronized windows, one wave per worker set."""
+        """Streaming: synchronized windows, one wave per worker set.
+
+        Every batch of a wave returns before the next wave starts.
+        """
         wave = max(len(self.compute_ids), 1)
         for start in range(0, len(batches), wave):
-            self._run_pooled(op, batches[start:start + wave], outputs)
+            self._run_pooled(pool, op, batches[start:start + wave], outputs)
 
     def _run_sequential_with_kill(
         self, op: str, batches: list[dict[str, Any]], outputs: dict[int, Any]

@@ -65,11 +65,13 @@ class RpcClient:
     """One reliable request/response channel to one worker.
 
     A client holds a single connection and serializes calls with a
-    lock (concurrency across *workers* comes from one client per
-    worker).  On a timed-out call it re-sends the same request id; on
-    a broken connection it redials once per attempt — a restarted
-    worker re-binds its advertised address, so redial-after-death is
-    exactly the failover path.
+    lock.  Concurrency across *workers* comes from one client per
+    worker, each driven by its own dispatch lane
+    (:meth:`repro.cluster.driver.ClusterDriver._run_pooled`), so the
+    driver's calls do not contend the lock.  On a timed-out call it
+    re-sends the same request id; on a broken connection it redials
+    once per attempt — a restarted worker re-binds its advertised
+    address, so redial-after-death is exactly the failover path.
     """
 
     def __init__(

@@ -9,7 +9,8 @@ Bottom-up over the transport stack, no engine anywhere:
   cache that makes re-sent request ids idempotent;
 * seeded wire faults — deterministic per-``(seed, node)`` streams;
 * process lifecycle — handshake, graceful shutdown, SIGKILL detection,
-  orphan reaping.
+  orphan reaping;
+* driver dispatch — one lane per compute worker, streaming waves.
 
 Every test in this module runs under the ``cluster`` marker's hard
 SIGALRM timeout and the child-process/fd leak check (see
@@ -19,6 +20,8 @@ SIGALRM timeout and the child-process/fd leak check (see
 import signal
 import socket
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -418,3 +421,114 @@ class TestLifecycle:
             pong = driver._client("d0").call("ping")
             assert pong["pid"] != old_pid
             assert pong["generation"] == 1
+
+
+# ----------------------------------------------------------------------
+# Dispatch lanes (an unstarted driver forks nothing; ``_dispatch`` is
+# replaced by a recorder, so no RPC is made)
+# ----------------------------------------------------------------------
+class TestDispatchLanes:
+    N_COMPUTE = 3
+    BATCH_SIZE = 4
+
+    @pytest.fixture
+    def driver(self, workload, tmp_path):
+        driver = ClusterDriver(
+            workload, engine="streaming", n_compute=self.N_COMPUTE,
+            batch_size=self.BATCH_SIZE, log_dir=str(tmp_path),
+        )
+        driver.compute_ids = [f"c{i}" for i in range(self.N_COMPUTE)]
+        yield driver
+        driver.close()
+
+    @staticmethod
+    def expected_outputs(batches):
+        return {tid: ("out", tid) for b in batches for tid in b["tids"]}
+
+    def test_one_lane_per_worker(self, driver, monkeypatch):
+        n = self.N_COMPUTE
+        batches = [{"tids": [2 * i, 2 * i + 1]} for i in range(11)]
+        # Every lane's first batch waits until all n lanes have started,
+        # so the n lanes provably run on n distinct pool threads.
+        started = threading.Barrier(n, timeout=5.0)
+        calls = []
+
+        def record(op, batch, index):
+            if index < n:
+                started.wait()
+            calls.append((threading.get_ident(), index))
+            return {tid: ("out", tid) for tid in batch["tids"]}
+
+        monkeypatch.setattr(driver, "_dispatch", record)
+        outputs = {}
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            driver._run_pooled(pool, "run_batch", batches, outputs)
+        assert sorted(index for _, index in calls) == list(range(11))
+        by_thread = {}
+        for thread, index in calls:
+            by_thread.setdefault(thread, []).append(index)
+        assert len(by_thread) == n
+        for indices in by_thread.values():
+            assert len({index % n for index in indices}) == 1
+            assert indices == sorted(indices)
+        assert outputs == self.expected_outputs(batches)
+
+    def test_lane_exception_propagates(self, driver, monkeypatch):
+        def failing(op, batch, index):
+            if index == 4:
+                raise RuntimeError("lane 1 broke")
+            return {tid: ("out", tid) for tid in batch["tids"]}
+
+        monkeypatch.setattr(driver, "_dispatch", failing)
+        batches = [{"tids": [i]} for i in range(9)]
+        with ThreadPoolExecutor(max_workers=self.N_COMPUTE) as pool:
+            with pytest.raises(RuntimeError, match="lane 1 broke"):
+                driver._run_pooled(pool, "run_batch", batches, {})
+
+    def test_waves_share_one_executor_and_keep_the_barrier(
+        self, driver, monkeypatch
+    ):
+        import repro.cluster.driver as driver_module
+
+        executors = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                executors.append(self)
+
+        monkeypatch.setattr(
+            driver_module, "ThreadPoolExecutor", CountingExecutor
+        )
+        n, size = self.N_COMPUTE, self.BATCH_SIZE
+        lock = threading.Lock()
+        events = []
+
+        def record(op, batch, index):
+            position = batch["tids"][0] // size
+            with lock:
+                events.append(("start", position))
+            if position % n == 0:
+                # A slow wave leader: a missing barrier would let the
+                # other lanes start the next wave meanwhile.
+                time.sleep(0.02)
+            with lock:
+                events.append(("end", position))
+            return {tid: ("out", tid) for tid in batch["tids"]}
+
+        monkeypatch.setattr(driver, "_dispatch", record)
+        outputs = driver.run()
+        assert len(executors) == 1
+        n_batches = driver.info.n_batches
+        assert n_batches == -(-len(driver.workload.keys) // size) > 2 * n
+        assert outputs == self.expected_outputs(driver._batches())
+        for wave_start in range(n, n_batches, n):
+            last_end = max(
+                at for at, (kind, position) in enumerate(events)
+                if kind == "end" and position < wave_start
+            )
+            first_start = min(
+                at for at, (kind, position) in enumerate(events)
+                if kind == "start" and position >= wave_start
+            )
+            assert last_end < first_start
